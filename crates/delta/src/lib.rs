@@ -374,9 +374,7 @@ pub fn repair(
             }
             let cat = delta_catalog(snapshot, delta, &delta.appended);
             let tail = run_serial(plan, cat, functions)?;
-            let mut all = vec![cached.batch.clone()];
-            all.extend(tail);
-            Some(MaterializedResult::from_batches(schema.clone(), &all))
+            Some(cached.append(&tail))
         }
         Repairability::Agg => {
             let Plan::Aggregate {
@@ -408,7 +406,7 @@ pub fn repair(
             let delta_input = run_serial(child, cat, functions)?;
             let out = if appending {
                 let mut resumed = ResumedAgg::resume(
-                    &cached.batch,
+                    &cached.batch(),
                     group_by.clone(),
                     aggs.clone(),
                     input_types,
@@ -423,7 +421,7 @@ pub fn repair(
                     return None;
                 }
                 rdb_exec::retract_count_groups(
-                    &cached.batch,
+                    &cached.batch(),
                     group_by.clone(),
                     aggs.clone(),
                     input_types,
@@ -443,12 +441,8 @@ pub fn repair(
             let cat = delta_catalog(snapshot, delta, &delta.appended);
             let delta_out = run_serial(plan, cat, functions)?;
             let delta_batch = Batch::concat_or_empty(schema, &delta_out);
-            let merged = merge_top_n(&cached.batch, &delta_batch, keys, *n, schema)?;
-            Some(MaterializedResult {
-                schema: schema.clone(),
-                size_bytes: merged.size_bytes(),
-                batch: merged,
-            })
+            let merged = merge_top_n(&cached.batch(), &delta_batch, keys, *n, schema)?;
+            Some(MaterializedResult::from_batches(schema.clone(), &[merged]))
         }
     }
 }
@@ -643,8 +637,42 @@ mod tests {
         let fns = Arc::new(FnRegistry::new());
         let repaired = repair(&plan, &cached, &delta, &snap, &fns).expect("repairable");
         let recomputed = materialize(&plan, &snap.to_catalog(), &schema);
-        assert_eq!(repaired.batch.to_rows(), recomputed.batch.to_rows());
+        assert_eq!(repaired.batch().to_rows(), recomputed.batch().to_rows());
         assert_eq!(repaired.size_bytes, recomputed.size_bytes);
+    }
+
+    #[test]
+    fn select_repair_shares_every_full_group() {
+        let rows: Vec<(i64, f64)> = (0..3000).map(|i| (i, i as f64 * 0.5)).collect();
+        let cat = catalog_with(&rows);
+        let plan = bound(
+            scan("t", &["k", "v"]).select(Expr::name("k").gt(Expr::lit(10))),
+            &cat,
+        );
+        let schema = plan.schema(&cat).unwrap();
+        let cached = materialize(&plan, &cat, &schema);
+        assert_eq!(cached.groups().len(), 3);
+        let new_rows: Vec<Vec<Value>> = (0..4)
+            .map(|i| vec![Value::Int(5000 + i), Value::Float(1.0)])
+            .collect();
+        cat.versioned("t").unwrap().append(&new_rows).unwrap();
+        let snap = cat.snapshot();
+        let delta = Delta::append("t", snap.get("t").unwrap().schema().clone(), 1, &new_rows);
+        let fns = Arc::new(FnRegistry::new());
+        let repaired = repair(&plan, &cached, &delta, &snap, &fns).expect("repairable");
+        for i in 0..2 {
+            assert!(
+                Arc::ptr_eq(cached.groups().group(i), repaired.groups().group(i)),
+                "repair copied full group {i}"
+            );
+        }
+        let recomputed = materialize(&plan, &snap.to_catalog(), &schema);
+        assert_eq!(repaired.batch().to_rows(), recomputed.batch().to_rows());
+        assert_eq!(repaired.size_bytes, recomputed.size_bytes);
+        let sizes = |r: &MaterializedResult| -> Vec<usize> {
+            r.groups().groups().iter().map(|g| g.rows()).collect()
+        };
+        assert_eq!(sizes(&repaired), sizes(&recomputed), "same replay grid");
     }
 
     #[test]
@@ -677,8 +705,8 @@ mod tests {
         let repaired = repair(&plan, &cached, &delta, &snap, &fns).expect("repairable");
         let recomputed = materialize(&plan, &snap.to_catalog(), &schema);
         assert_eq!(
-            repaired.batch.to_rows(),
-            recomputed.batch.to_rows(),
+            repaired.batch().to_rows(),
+            recomputed.batch().to_rows(),
             "resumed float fold must be bit-exact"
         );
     }
@@ -701,9 +729,13 @@ mod tests {
         // Delete every k == 2 row.
         let vt = cat.versioned("t").unwrap();
         let (deleted, _) = vt
-            .delete_where(|t| t.column(0).as_ints().iter().map(|&k| k == 2).collect())
+            .delete_where_capturing(|t| {
+                (0..t.rows() as u64)
+                    .filter(|&i| t.row_values(i as usize)[0] == Value::Int(2))
+                    .collect()
+            })
             .unwrap();
-        assert_eq!(deleted, 1);
+        assert_eq!(deleted.len(), 1);
         let snap = cat.snapshot();
         let delta = Delta::delete(
             "t",
@@ -714,7 +746,7 @@ mod tests {
         let fns = Arc::new(FnRegistry::new());
         let repaired = repair(&plan, &cached, &delta, &snap, &fns).expect("count-gated repair");
         let recomputed = materialize(&plan, &snap.to_catalog(), &schema);
-        assert_eq!(repaired.batch.to_rows(), recomputed.batch.to_rows());
+        assert_eq!(repaired.batch().to_rows(), recomputed.batch().to_rows());
         assert_eq!(repaired.rows(), 1, "k == 2 group fully retracted");
     }
 
@@ -766,7 +798,7 @@ mod tests {
         let fns = Arc::new(FnRegistry::new());
         let repaired = repair(&plan, &cached, &delta, &snap, &fns).expect("repairable");
         let recomputed = materialize(&plan, &snap.to_catalog(), &schema);
-        assert_eq!(repaired.batch.to_rows(), recomputed.batch.to_rows());
+        assert_eq!(repaired.batch().to_rows(), recomputed.batch().to_rows());
     }
 
     #[test]

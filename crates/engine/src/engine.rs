@@ -16,12 +16,12 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 use rdb_delta::{Delta, Repairability};
-use rdb_exec::{FnRegistry, WorkerPool};
-use rdb_expr::{eval_predicate, Expr};
+use rdb_exec::{FnRegistry, WorkerPool, ZonePrune};
+use rdb_expr::{CompiledPredicate, Expr};
 use rdb_plan::{Plan, PlanError};
 use rdb_recycler::{Recycler, RecyclerConfig, RecyclerEvent};
 use rdb_storage::{Catalog, Table};
-use rdb_vector::{Batch, Schema, Value};
+use rdb_vector::{Batch, Schema, Value, BATCH_CAPACITY};
 
 use crate::durability::{
     open_durability, spawn_checkpointer, warm_recycler, DurabilityConfig, DurabilityState, IoFault,
@@ -782,20 +782,29 @@ impl Engine {
                 format!("delete predicate for '{table}'"),
             ));
         }
-        // The mask is evaluated against the exact snapshot being replaced
-        // (VersionedTable::delete_where_capturing re-runs it if a
-        // concurrent writer commits first), so interleaved writers compose
-        // linearizably. The deleted rows are captured inside the commit —
-        // they are the typed delta the repair path retracts from dependent
-        // cache entries.
+        // The positions are computed against the exact snapshot being
+        // replaced (VersionedTable::delete_where_capturing re-runs this if
+        // a concurrent writer commits first), so interleaved writers
+        // compose linearizably. The predicate is compiled once; row groups
+        // whose zone maps rule it out are skipped unread. The deleted rows
+        // are captured inside the commit — they are the typed delta the
+        // repair path retracts from dependent cache entries.
+        let compiled = CompiledPredicate::compile(&bound);
         let all_cols: Vec<usize> = (0..vt.schema().len()).collect();
+        let prune = ZonePrune::new(&bound, &all_cols);
         let (captured, snap) = vt
             .delete_where_capturing(|t| {
-                let mut mask = Vec::with_capacity(t.rows());
-                for b in t.batches(&all_cols) {
-                    mask.extend(eval_predicate(&bound, &b));
+                let mut positions = Vec::new();
+                let mut sel = Vec::new();
+                for (g, group) in t.groups().groups().iter().enumerate() {
+                    if prune.as_ref().is_some_and(|p| p.skips(group)) {
+                        continue;
+                    }
+                    compiled.select_physical_into(&group.batch(), &mut sel);
+                    let base = (g * BATCH_CAPACITY) as u64;
+                    positions.extend(sel.iter().map(|&i| base + i as u64));
                 }
-                mask
+                positions
             })
             .map_err(|e| self.write_error(e))?;
         let deleted = captured.len();

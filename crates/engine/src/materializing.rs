@@ -215,7 +215,7 @@ impl MaterializingEngine {
         let mut mats = 0;
         let (result, _cost) = self.eval(&bound, &mut hits, &mut mats)?;
         Ok(MatOutcome {
-            batch: result.batch.clone(),
+            batch: result.batch(),
             wall: start.elapsed(),
             cache_hits: hits,
             materialized: mats,

@@ -53,6 +53,7 @@ use crate::join::{BuildSide, SharedBuild};
 use crate::metrics::{MetricsNode, OpMetrics};
 use crate::op::Operator;
 use crate::parallel::{BuildChild, MorselDispenser};
+use crate::prune::ZonePrune;
 
 /// One fused pipeline stage. Mirrors the serial operator it replaces; the
 /// recycler-facing metrics contract (rows out, probe work) is identical.
@@ -177,6 +178,15 @@ impl FusedChain {
             self.flush();
         }
         out
+    }
+
+    /// Account a morsel the scan's zone maps pruned: every stage counts a
+    /// call (so none reads as "never ran" to the recycler) and nothing
+    /// else — no rows, bytes, work or time were spent on it.
+    pub fn skip(&mut self) {
+        for l in &mut self.locals {
+            l.calls += 1;
+        }
     }
 
     /// Publish the locally accumulated counters into the shared metrics.
@@ -440,6 +450,10 @@ impl FusedPipelineExec {
 impl Operator for FusedPipelineExec {
     fn next_batch(&mut self) -> Option<Batch> {
         while let Some((_, morsel)) = self.dispenser.next_morsel() {
+            let Some(morsel) = morsel else {
+                self.chain.skip();
+                continue;
+            };
             if let Some(out) = self.chain.push(morsel) {
                 return Some(out);
             }
@@ -580,8 +594,16 @@ pub(crate) fn build_fused_pipeline(
             _ => unreachable!("chain walk admits only Select/Project/Join"),
         }
     }
+    // Zone maps can rule whole morsels out for the stage next to the scan
+    // (its column references are scan columns).
+    let prune = match stages.last() {
+        Some(Plan::Select { predicate, .. }) => ZonePrune::new(predicate, &projection),
+        _ => None,
+    };
     let dispenser = Arc::new(
-        MorselDispenser::new(table, projection, scan_metrics).with_cancel(ctx.cancel.clone()),
+        MorselDispenser::new(table, projection, scan_metrics)
+            .with_cancel(ctx.cancel.clone())
+            .with_prune(prune),
     );
     Ok(Some(FusedPipeline {
         dispenser,

@@ -44,6 +44,7 @@ pub mod metrics;
 pub mod op;
 pub mod parallel;
 pub mod pool;
+pub mod prune;
 pub mod scan;
 pub mod sort;
 pub mod store;
@@ -59,6 +60,7 @@ pub use metrics::{MetricsNode, OpMetrics};
 pub use op::{collect_all, run_to_batch, Operator};
 pub use parallel::{GatherExec, MorselDispenser, ParallelAggExec, ParallelTopNExec};
 pub use pool::WorkerPool;
+pub use prune::ZonePrune;
 pub use store::{
     ArtifactKind, CachedExec, MaterializedResult, OperatorState, ResultStore, SpeculationEstimate,
     StateCost, StoreExec, StoreVerdict,

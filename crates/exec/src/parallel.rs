@@ -3,8 +3,9 @@
 //! A *pipeline* — the stretch of pipelining operators (selection,
 //! projection, join probes) between a base-table scan and the next
 //! pipeline breaker — is the unit of parallel execution. The scan is split
-//! into [`rdb_vector::BATCH_CAPACITY`]-sized **morsels** (O(1) zero-copy
-//! column windows over the pinned table snapshot); a [`MorselDispenser`]
+//! into [`rdb_vector::BATCH_CAPACITY`]-sized **morsels**, one per row group
+//! of the pinned table snapshot (zero-copy: a morsel batch shares its
+//! group's columns); a [`MorselDispenser`]
 //! hands them out to workers on demand, which is the load balancing: fast
 //! workers simply take more morsels. Every worker owns a private clone of
 //! the pipeline's operator segment fed one morsel at a time through a
@@ -21,7 +22,9 @@
 //!
 //! * the morsel grid is a pure function of the table's row count
 //!   ([`rdb_vector::morsel_count`]), identical to the serial scan's batch
-//!   boundaries;
+//!   boundaries; a morsel the zone maps prune ([`crate::prune`]) still
+//!   occupies its index and yields no output, exactly what the filter
+//!   would have produced for it;
 //! * each morsel's trip through the segment is a pure function of the
 //!   morsel (operators are deterministic), so worker interleaving can only
 //!   permute *whole morsel outputs*;
@@ -53,7 +56,7 @@ use parking_lot::Mutex;
 use rdb_expr::{AggFunc, Expr};
 use rdb_plan::{Plan, SortKeyExpr};
 use rdb_storage::Table;
-use rdb_vector::{morsel_bounds, morsel_count, Batch, DataType};
+use rdb_vector::{morsel_count, Batch, DataType};
 
 use crate::agg::{emit_groups, GroupTable};
 use crate::error::{panic_message, ExecError, FailSlot};
@@ -63,14 +66,19 @@ use crate::join::{HashJoinExec, SharedBuild};
 use crate::metrics::{MetricsNode, OpMetrics};
 use crate::op::{timed_next, Operator};
 use crate::pool::{run_jobs, Job, WorkerPool};
+use crate::prune::ZonePrune;
 use crate::sort::TopNState;
 
-/// Hands out `(morsel index, batch)` pairs from a pinned table snapshot.
-/// The atomic cursor *is* the work-stealing: workers pull the next morsel
-/// whenever they finish one, so skew balances itself at morsel granularity.
+/// Hands out `(morsel index, batch)` pairs from a pinned table snapshot,
+/// one morsel per row group. The atomic cursor *is* the work-stealing:
+/// workers pull the next morsel whenever they finish one, so skew
+/// balances itself at morsel granularity.
 pub struct MorselDispenser {
     table: Arc<Table>,
     projection: Vec<usize>,
+    /// Zone-map check of the first stage's filter, if any (see
+    /// [`crate::prune`]).
+    prune: Option<ZonePrune>,
     next: AtomicUsize,
     total: usize,
     metrics: Arc<OpMetrics>,
@@ -84,6 +92,7 @@ impl MorselDispenser {
         MorselDispenser {
             table,
             projection,
+            prune: None,
             next: AtomicUsize::new(0),
             total,
             metrics,
@@ -100,6 +109,12 @@ impl MorselDispenser {
         self
     }
 
+    /// Skip row groups `prune` rules out (see [`MorselDispenser::next_morsel`]).
+    pub fn with_prune(mut self, prune: Option<ZonePrune>) -> Self {
+        self.prune = prune;
+        self
+    }
+
     /// Whether the query driving this dispenser has been cancelled.
     pub fn cancelled(&self) -> bool {
         self.cancel
@@ -113,8 +128,12 @@ impl MorselDispenser {
     }
 
     /// Claim the next morsel, or `None` when the scan is exhausted (or the
-    /// query was cancelled).
-    pub fn next_morsel(&self) -> Option<(u64, Batch)> {
+    /// query was cancelled). A morsel whose row group the zone maps rule
+    /// out comes back as `(idx, None)`: its index still has to be
+    /// accounted for (a gather releases output strictly by index), but it
+    /// counts a call and no rows, bytes or work — the measured cost is the
+    /// work actually done.
+    pub fn next_morsel(&self) -> Option<(u64, Option<Batch>)> {
         if self.cancelled() {
             return None;
         }
@@ -122,12 +141,15 @@ impl MorselDispenser {
         if idx >= self.total {
             return None;
         }
-        let (offset, len) = morsel_bounds(self.table.rows(), idx);
-        let batch = self.table.scan_batch(&self.projection, offset, len);
         self.metrics.add_call();
+        let group = self.table.groups().group(idx);
+        if self.prune.as_ref().is_some_and(|p| p.skips(group)) {
+            return Some((idx as u64, None));
+        }
+        let batch = group.project(&self.projection);
         self.metrics.add_rows(batch.rows() as u64);
         self.metrics.add_bytes(batch.size_bytes() as u64);
-        Some((idx as u64, batch))
+        Some((idx as u64, Some(batch)))
     }
 
     /// Fraction of morsels dispatched so far.
@@ -174,8 +196,15 @@ pub enum SegmentPipe {
 
 impl SegmentPipe {
     /// Push one morsel through, collecting its outputs (usually 0 or 1
-    /// batches; joins may expand).
-    fn push(&mut self, batch: Batch) -> Vec<Batch> {
+    /// batches; joins may expand). A pruned morsel (`None`) produces no
+    /// output.
+    fn push(&mut self, morsel: Option<Batch>) -> Vec<Batch> {
+        let Some(batch) = morsel else {
+            if let SegmentPipe::Fused(chain) = self {
+                chain.skip();
+            }
+            return Vec::new();
+        };
         match self {
             SegmentPipe::Ops { slot, root } => {
                 *slot.lock() = Some(batch);

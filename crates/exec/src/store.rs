@@ -19,14 +19,15 @@
 //! Both directions of the cache are zero-copy: the tee buffers **shared**
 //! batch clones (refcount bumps; data is only gathered once, when the
 //! buffer is concatenated into the published [`MaterializedResult`]), and
-//! replay re-chunks the cached result with O(1) column slices, so a cache
-//! hit costs O(#batches) rather than O(result bytes).
+//! replay hands out the result's morsel-sized row groups as batches, so a
+//! cache hit costs O(#batches) rather than O(result bytes).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use rdb_plan::Plan;
+use rdb_storage::RowGroups;
 use rdb_vector::{Batch, Schema};
 
 use crate::error::FailSlot;
@@ -34,41 +35,63 @@ use crate::join::BuildSide;
 use crate::metrics::OpMetrics;
 use crate::op::{timed_next, Operator};
 
-/// A fully materialized (intermediate or final) query result.
+/// A fully materialized (intermediate or final) query result, stored as
+/// morsel-sized row groups exactly like a table snapshot: group `i` is
+/// replay batch `i`, and a repaired successor shares every group its
+/// repair does not touch.
 #[derive(Debug, Clone)]
 pub struct MaterializedResult {
     /// Result schema (graph-canonical names).
     pub schema: Schema,
-    /// All rows, concatenated.
-    pub batch: Batch,
+    groups: RowGroups,
     /// Memory footprint in bytes (what the recycler cache accounts).
     pub size_bytes: usize,
 }
 
 impl MaterializedResult {
-    /// Build from collected batches.
+    /// Build from collected batches (concatenated once, then grouped by
+    /// O(1) windows; a single unselected batch is not copied at all).
     pub fn from_batches(schema: Schema, batches: &[Batch]) -> Self {
         let batch = Batch::concat_or_empty(&schema, batches);
-        let size_bytes = batch.size_bytes();
+        MaterializedResult::from_groups(schema, RowGroups::from_columns(batch.into_columns()))
+    }
+
+    fn from_groups(schema: Schema, groups: RowGroups) -> Self {
         MaterializedResult {
             schema,
-            batch,
-            size_bytes,
+            size_bytes: groups.size_bytes(),
+            groups,
         }
+    }
+
+    /// These rows followed by the rows of `tail`: O(last group + tail),
+    /// every full group is shared with `self`.
+    pub fn append(&self, tail: &[Batch]) -> Self {
+        let tail = Batch::concat_or_empty(&self.schema, tail);
+        MaterializedResult::from_groups(self.schema.clone(), self.groups.append(tail.columns()))
     }
 
     /// Row count.
     pub fn rows(&self) -> usize {
-        self.batch.rows()
+        self.groups.rows()
     }
 
-    /// Re-chunk into standard execution batches along the morsel grid.
-    /// Zero-copy: every batch is an O(1) slice sharing this result's
-    /// column storage.
+    /// The row groups.
+    pub fn groups(&self) -> &RowGroups {
+        &self.groups
+    }
+
+    /// One batch per row group — the replay stream, along the morsel
+    /// grid. Zero-copy: every batch shares its group's columns.
     pub fn batches(&self) -> Vec<Batch> {
-        (0..self.batch.morsel_count())
-            .map(|i| self.batch.morsel(i))
-            .collect()
+        self.groups.groups().iter().map(|g| g.batch()).collect()
+    }
+
+    /// All rows as one batch: zero-copy for a result of at most one
+    /// group, a gathering copy otherwise. Meant for small results (an
+    /// aggregate table, a top-N); replay streams [`Self::batches`].
+    pub fn batch(&self) -> Batch {
+        Batch::concat_or_empty(&self.schema, &self.batches())
     }
 }
 
@@ -685,7 +708,7 @@ mod tests {
         let out = run_to_batch(&mut op);
         assert_eq!(out.column(0).as_ints(), &[1, 2, 3], "flow uninterrupted");
         let published = store.fetch(7).expect("result published");
-        assert_eq!(published.batch.column(0).as_ints(), &[1, 2, 3]);
+        assert_eq!(published.batch().column(0).as_ints(), &[1, 2, 3]);
         assert!(published.size_bytes > 0);
     }
 
@@ -782,7 +805,7 @@ mod tests {
     fn empty_result_materializes_with_width() {
         let r = MaterializedResult::from_batches(schema(), &[]);
         assert_eq!(r.rows(), 0);
-        assert_eq!(r.batch.width(), 1);
+        assert_eq!(r.batch().width(), 1);
         assert!(r.batches().is_empty());
     }
 

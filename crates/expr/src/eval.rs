@@ -2,8 +2,9 @@
 //!
 //! [`eval`] produces one output column per expression per input batch. NULL
 //! handling follows SQL: comparisons and arithmetic are NULL if any operand
-//! is NULL; `AND`/`OR` use Kleene three-valued logic; [`eval_predicate`]
-//! collapses NULL to `false` (the filter boundary rule).
+//! is NULL; `AND`/`OR` use Kleene three-valued logic; filters collapse
+//! NULL to `false` (the filter boundary rule — see [`eval_selection`] and
+//! [`crate::sel::CompiledPredicate`]).
 //!
 //! Evaluation works at the batch's **physical** row level: output columns
 //! have `batch.physical_rows()` rows, aligned with the input columns, and
@@ -116,25 +117,6 @@ pub fn eval(expr: &Expr, batch: &Batch) -> Column {
             Column::from_bools(vals)
         }
     }
-}
-
-/// Evaluate a boolean predicate and collapse NULL to `false`. The mask is
-/// **physical**-length (aligned with the batch's columns, ignoring any
-/// selection vector); filters should prefer [`eval_selection`].
-///
-/// Compatibility shim over the selection kernel
-/// ([`crate::sel::CompiledPredicate`]): the kernel computes qualifying
-/// indices directly; this scatters them back into a boolean mask for
-/// callers that want one (DML delete, tests). Hot paths should compile
-/// the predicate once and keep index buffers instead.
-pub fn eval_predicate(expr: &Expr, batch: &Batch) -> Vec<bool> {
-    let mut idx = Vec::new();
-    crate::sel::CompiledPredicate::compile(expr).select_physical_into(batch, &mut idx);
-    let mut mask = vec![false; batch.physical_rows()];
-    for &i in &idx {
-        mask[i as usize] = true;
-    }
-    mask
 }
 
 /// Result of evaluating a predicate as a selection (see [`eval_selection`]).
@@ -387,7 +369,20 @@ fn eval_case(branches: &[(Expr, Expr)], otherwise: &Expr, batch: &Batch) -> Colu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sel::CompiledPredicate;
     use rdb_vector::types::date_from_ymd;
+
+    /// Physical-length filter mask of `e` over `b` (NULL is not true),
+    /// from the compiled selection kernel.
+    fn mask(e: &Expr, b: &Batch) -> Vec<bool> {
+        let mut idx = Vec::new();
+        CompiledPredicate::compile(e).select_physical_into(b, &mut idx);
+        let mut mask = vec![false; b.physical_rows()];
+        for i in idx {
+            mask[i as usize] = true;
+        }
+        mask
+    }
 
     fn batch() -> Batch {
         Batch::new(vec![
@@ -414,12 +409,12 @@ mod tests {
     fn comparisons() {
         let b = batch();
         let e = Expr::col(0).le(Expr::lit(2));
-        assert_eq!(eval_predicate(&e, &b), vec![true, true, false, false]);
+        assert_eq!(mask(&e, &b), vec![true, true, false, false]);
         let e = Expr::col(1).gt(Expr::lit(1.5));
-        assert_eq!(eval_predicate(&e, &b), vec![false, false, true, true]);
+        assert_eq!(mask(&e, &b), vec![false, false, true, true]);
         // int vs float promotion
         let e = Expr::col(0).eq(Expr::lit(2.0));
-        assert_eq!(eval_predicate(&e, &b), vec![false, true, false, false]);
+        assert_eq!(mask(&e, &b), vec![false, true, false, false]);
     }
 
     #[test]
@@ -450,22 +445,22 @@ mod tests {
         let e = Expr::col(0)
             .gt(Expr::lit(1))
             .and(Expr::col(0).lt(Expr::lit(4)));
-        assert_eq!(eval_predicate(&e, &b), vec![false, true, true, false]);
+        assert_eq!(mask(&e, &b), vec![false, true, true, false]);
         let e = Expr::col(0)
             .eq(Expr::lit(1))
             .or(Expr::col(0).eq(Expr::lit(4)));
-        assert_eq!(eval_predicate(&e, &b), vec![true, false, false, true]);
+        assert_eq!(mask(&e, &b), vec![true, false, false, true]);
         let e = Expr::col(0).gt(Expr::lit(2)).not();
-        assert_eq!(eval_predicate(&e, &b), vec![true, true, false, false]);
+        assert_eq!(mask(&e, &b), vec![true, true, false, false]);
     }
 
     #[test]
     fn like_and_substr() {
         let b = batch();
         let e = Expr::col(3).like("PROMO%");
-        assert_eq!(eval_predicate(&e, &b), vec![true, false, true, false]);
+        assert_eq!(mask(&e, &b), vec![true, false, true, false]);
         let e = Expr::col(3).not_like("%STEEL");
-        assert_eq!(eval_predicate(&e, &b), vec![false, true, true, true]);
+        assert_eq!(mask(&e, &b), vec![false, true, true, true]);
         let e = Expr::col(3).substr(1, 5);
         assert_eq!(
             eval(&e, &b).to_values(),
@@ -491,9 +486,9 @@ mod tests {
     fn in_list() {
         let b = batch();
         let e = Expr::col(0).in_list([Value::Int(1), Value::Int(3)]);
-        assert_eq!(eval_predicate(&e, &b), vec![true, false, true, false]);
+        assert_eq!(mask(&e, &b), vec![true, false, true, false]);
         let e = Expr::col(3).not_in_list([Value::str("PROMO STEEL")]);
-        assert_eq!(eval_predicate(&e, &b), vec![false, true, true, true]);
+        assert_eq!(mask(&e, &b), vec![false, true, true, true]);
     }
 
     #[test]
@@ -550,7 +545,7 @@ mod tests {
         let c = eval(&e, &b);
         assert_eq!(c.null_count(), 1);
         // NULL collapses to false at the predicate boundary.
-        assert_eq!(eval_predicate(&e, &b), vec![true, false, true]);
+        assert_eq!(mask(&e, &b), vec![true, false, true]);
     }
 
     #[test]
@@ -590,14 +585,8 @@ mod tests {
         cb.push_null();
         cb.push(Value::Int(1));
         let b = Batch::new(vec![cb.finish()]);
-        assert_eq!(
-            eval_predicate(&Expr::col(0).is_null(), &b),
-            vec![true, false]
-        );
-        assert_eq!(
-            eval_predicate(&Expr::col(0).is_not_null(), &b),
-            vec![false, true]
-        );
+        assert_eq!(mask(&Expr::col(0).is_null(), &b), vec![true, false]);
+        assert_eq!(mask(&Expr::col(0).is_not_null(), &b), vec![false, true]);
     }
 
     #[test]
@@ -606,6 +595,6 @@ mod tests {
         cb.push_null();
         let b = Batch::new(vec![cb.finish()]);
         let e = Expr::col(0).in_list([Value::Int(1)]);
-        assert_eq!(eval_predicate(&e, &b), vec![false]);
+        assert_eq!(mask(&e, &b), vec![false]);
     }
 }

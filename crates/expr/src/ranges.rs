@@ -66,10 +66,17 @@ impl Interval {
     }
 
     /// Tighten with a membership list (intersecting any existing one).
+    /// The intersection keeps members that *compare* equal, not only
+    /// those of the same type: `x = 20.0` holds for the int 20, so
+    /// `x = 20.0 AND x IN (20)` is satisfiable and must not analyze to an
+    /// empty list (which would imply every predicate).
     fn add_members(&mut self, vs: Vec<Value>) {
         self.members = Some(match self.members.take() {
             None => vs,
-            Some(old) => old.into_iter().filter(|v| vs.contains(v)).collect(),
+            Some(old) => old
+                .into_iter()
+                .filter(|v| vs.iter().any(|w| w == v || w.cmp(v).is_eq()))
+                .collect(),
         });
     }
 
@@ -287,6 +294,13 @@ mod tests {
         let q = c0().in_list([Value::Int(1), Value::Int(2), Value::Int(3)]);
         assert!(implies(&p, &q));
         assert!(!implies(&q, &p));
+    }
+
+    #[test]
+    fn mixed_int_float_members_stay_satisfiable() {
+        let p = c0().eq(Expr::lit(20.0)).and(c0().in_list([Value::Int(20)]));
+        let q = c0().in_list([Value::Float(3.0)]);
+        assert!(!implies(&p, &q), "p holds for 20, q for no int");
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Allocation-free selection kernel: predicates compiled into per-batch
 //! index loops.
 //!
-//! The old filter hot path materialized a physical-length `Vec<bool>` per
-//! batch per predicate ([`crate::eval::eval_predicate`]) and, for every
-//! comparison against a literal, broadcast the literal into a full column
-//! first. This module replaces both costs:
+//! A filter that materialized a physical-length `Vec<bool>` per batch per
+//! predicate and, for every comparison against a literal, broadcast the
+//! literal into a full column first would pay both costs on every batch.
+//! This module avoids them:
 //!
 //! * [`CompiledPredicate::compile`] splits a predicate into its top-level
 //!   conjuncts once, at operator-construction time. Conjuncts of the shape
@@ -71,8 +71,7 @@ impl CompiledPredicate {
     }
 
     /// [`CompiledPredicate::select_into`] over **all** physical rows,
-    /// ignoring any selection vector on the batch (the `eval_predicate`
-    /// compatibility domain).
+    /// ignoring any selection vector on the batch.
     pub fn select_physical_into(&self, batch: &Batch, out: &mut Vec<u32>) {
         self.run(batch, out, true);
     }
@@ -311,7 +310,6 @@ fn apply_general(e: &Expr, batch: &Batch, out: &mut Vec<u32>, seeded: bool, phys
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::eval_predicate;
     use rdb_vector::column::ColumnBuilder;
     use std::sync::Arc;
 
@@ -400,16 +398,15 @@ mod tests {
     #[test]
     fn general_expressions_fall_back_and_agree() {
         let b = batch();
-        // OR is not splittable: general path, same outcome as the mask.
+        // OR is not splittable: general path, same outcome as evaluating
+        // the predicate column with NULL collapsed to false.
         let e = Expr::col(0)
             .eq(Expr::lit(1))
             .or(Expr::col(0).eq(Expr::lit(5)));
-        let mask = eval_predicate(&e, &b);
+        let c = eval(&e, &b);
         let idx = select(&e, &b);
-        let from_mask: Vec<u32> = mask
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &m)| m.then_some(i as u32))
+        let from_mask: Vec<u32> = (0..b.physical_rows() as u32)
+            .filter(|&i| c.get(i as usize) == Value::Bool(true))
             .collect();
         assert_eq!(idx, from_mask);
     }

@@ -500,7 +500,7 @@ impl Conn {
                 prepared,
                 param_oids,
                 ..
-            } => (prepared.param_names().to_vec(), param_oids),
+            } => (bind_order(prepared.param_names()), param_oids),
             Statement::Dml {
                 nparams,
                 param_oids,
@@ -774,6 +774,25 @@ fn sqlstate(e: &SqlError) -> &'static str {
             PlanErrorKind::ReadOnly => "25006",
             PlanErrorKind::Other { .. } => "XX000",
         },
+    }
+}
+
+/// The parameter each Bind value fills, in order. A statement's own
+/// parameter list follows its normalized plan walk, not the SQL text, so
+/// numbered placeholders bind by number instead: the i-th value fills
+/// `$1`, `$2`, ... in ascending order. Other names keep the statement's
+/// order.
+fn bind_order(names: &[String]) -> Vec<String> {
+    let numbered: Option<Vec<(u64, &String)>> = names
+        .iter()
+        .map(|n| n.parse::<u64>().ok().map(|k| (k, n)))
+        .collect();
+    match numbered {
+        Some(mut numbered) => {
+            numbered.sort_unstable();
+            numbered.into_iter().map(|(_, n)| n.clone()).collect()
+        }
+        None => names.to_vec(),
     }
 }
 

@@ -183,7 +183,7 @@ impl ServerBuilder {
         let engine = builder
             .try_build()
             .map_err(|e| std::io::Error::other(format!("engine build failed: {e}")))?;
-        let _ = shared.engine.set(Arc::clone(&engine));
+        let _ = shared.engine.set(Arc::downgrade(&engine));
 
         let listener = TcpListener::bind(&self.addr)?;
         listener.set_nonblocking(true)?;

@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
 use parking_lot::Mutex;
@@ -41,8 +41,10 @@ pub(crate) struct CancelEntry {
 pub struct ServerShared {
     /// Filled right after the engine is constructed (the `rdb_stats()`
     /// function is registered *before* the engine exists, so it reaches
-    /// the engine through here).
-    pub(crate) engine: OnceLock<Arc<Engine>>,
+    /// the engine through here). Weak: the engine's function registry
+    /// owns that function, which owns this struct, so a strong reference
+    /// would keep a dropped server's engine alive forever.
+    pub(crate) engine: OnceLock<Weak<Engine>>,
     /// Lifecycle phase: RUNNING → DRAINING → STOPPED.
     pub(crate) state: AtomicU8,
     /// Currently open connections.
@@ -130,7 +132,8 @@ impl ServerShared {
             deltas_applied: u64,
             subscriptions_active: u64,
         }
-        let ec = match self.engine.get() {
+        let engine = self.engine.get().and_then(Weak::upgrade);
+        let ec = match &engine {
             Some(engine) => {
                 let adm = engine.admission();
                 let mut ec = EngineCounters {
@@ -156,11 +159,7 @@ impl ServerShared {
             }
             None => EngineCounters::default(),
         };
-        let durability = self
-            .engine
-            .get()
-            .map(|e| e.durability_stats())
-            .unwrap_or_default();
+        let durability = engine.map(|e| e.durability_stats()).unwrap_or_default();
         ServerStatsSnapshot {
             connections: self.connections.load(Ordering::Relaxed),
             connections_total: self.connections_total.load(Ordering::Relaxed),

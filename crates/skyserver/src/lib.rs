@@ -122,22 +122,23 @@ impl TableFunction for FGetNearbyObjEq {
         let dec0 = args[1].as_float().expect("dec").to_radians();
         let radius_deg = args[2].as_float().expect("radius") / 60.0; // arcmin → deg
         let cos_limit = radius_deg.to_radians().cos();
-        let objid = self
-            .table
-            .column_by_name("p_objid")
-            .expect("objid")
-            .as_ints();
-        let ra = self.table.column_by_name("p_ra").expect("ra").as_floats();
-        let dec = self.table.column_by_name("p_dec").expect("dec").as_floats();
+        let schema = self.table.schema();
+        let col = |name: &str| schema.index_of(name).expect("photoprimary column");
+        let (objid_col, ra_col, dec_col) = (col("p_objid"), col("p_ra"), col("p_dec"));
         *work += self.table.rows() as u64;
         let mut hits: Vec<(i64, f64)> = Vec::new();
-        for i in 0..self.table.rows() {
-            let (rai, deci) = (ra[i].to_radians(), dec[i].to_radians());
-            // Great-circle angular separation via the spherical law of
-            // cosines (adequate for arcminute-scale radii).
-            let cos_sep = dec0.sin() * deci.sin() + dec0.cos() * deci.cos() * (rai - ra0).cos();
-            if cos_sep >= cos_limit {
-                hits.push((objid[i], cos_sep.clamp(-1.0, 1.0).acos().to_degrees()));
+        for group in self.table.groups().groups() {
+            let objid = group.column(objid_col).as_ints();
+            let ra = group.column(ra_col).as_floats();
+            let dec = group.column(dec_col).as_floats();
+            for i in 0..group.rows() {
+                let (rai, deci) = (ra[i].to_radians(), dec[i].to_radians());
+                // Great-circle angular separation via the spherical law of
+                // cosines (adequate for arcminute-scale radii).
+                let cos_sep = dec0.sin() * deci.sin() + dec0.cos() * deci.cos() * (rai - ra0).cos();
+                if cos_sep >= cos_limit {
+                    hits.push((objid[i], cos_sep.clamp(-1.0, 1.0).acos().to_degrees()));
+                }
             }
         }
         hits.sort_by(|a, b| a.1.total_cmp(&b.1));

@@ -193,7 +193,7 @@ mod tests {
         let err = cat.register(one_row_table("t", 2)).unwrap_err();
         assert!(err.to_string().contains("already registered"), "{err}");
         // The original survives untouched.
-        assert_eq!(cat.get("t").unwrap().column(0).as_ints(), &[1]);
+        assert_eq!(cat.get("t").unwrap().to_rows(), [[Value::Int(1)]]);
         assert_eq!(cat.epoch_of("t"), Some(0));
     }
 
@@ -202,8 +202,8 @@ mod tests {
         let mut cat = Catalog::new();
         cat.register(one_row_table("t", 1)).unwrap();
         let old = cat.replace(one_row_table("t", 2)).unwrap();
-        assert_eq!(old.unwrap().column(0).as_ints(), &[1]);
-        assert_eq!(cat.get("t").unwrap().column(0).as_ints(), &[2]);
+        assert_eq!(old.unwrap().to_rows(), [[Value::Int(1)]]);
+        assert_eq!(cat.get("t").unwrap().to_rows(), [[Value::Int(2)]]);
         assert_eq!(cat.epoch_of("t"), Some(1), "replacement is a new epoch");
         // Replace of an unknown name registers fresh.
         assert!(cat.replace(one_row_table("u", 9)).unwrap().is_none());

@@ -6,17 +6,18 @@ use parking_lot::RwLock;
 use rdb_vector::column::{Column, ColumnBuilder};
 use rdb_vector::{Batch, DataType, Schema, Value, BATCH_CAPACITY};
 
+use crate::group::RowGroups;
 use crate::StorageError;
 
 /// An immutable, fully in-memory columnar **snapshot** of a table at one
-/// epoch. In-flight scans hold an `Arc<Table>` and keep reading their
-/// version's Arc'd columns however many updates commit concurrently.
+/// epoch, stored as morsel-sized row groups ([`crate::group`]). In-flight
+/// scans hold an `Arc<Table>` and keep reading their version's shared
+/// groups however many updates commit concurrently.
 #[derive(Debug)]
 pub struct Table {
     name: String,
     schema: Schema,
-    columns: Vec<Column>,
-    rows: usize,
+    groups: RowGroups,
     epoch: u64,
 }
 
@@ -26,7 +27,8 @@ impl Table {
         Table::new_at_epoch(name, schema, columns, 0)
     }
 
-    /// Build a table snapshot stamped with an explicit epoch.
+    /// Build a table snapshot stamped with an explicit epoch. The row
+    /// groups are O(1) windows over `columns`: nothing is copied.
     pub fn new_at_epoch(
         name: impl Into<String>,
         schema: Schema,
@@ -39,11 +41,14 @@ impl Table {
             assert_eq!(c.len(), rows, "column '{}' length mismatch", f.name);
             assert_eq!(c.data_type(), f.dtype, "column '{}' type mismatch", f.name);
         }
+        Table::from_groups(name, schema, RowGroups::from_columns(columns), epoch)
+    }
+
+    fn from_groups(name: impl Into<String>, schema: Schema, groups: RowGroups, epoch: u64) -> Self {
         Table {
             name: name.into(),
             schema,
-            columns,
-            rows,
+            groups,
             epoch,
         }
     }
@@ -66,60 +71,58 @@ impl Table {
 
     /// Number of rows.
     pub fn rows(&self) -> usize {
-        self.rows
+        self.groups.rows()
     }
 
-    /// Full column by position.
-    pub fn column(&self, i: usize) -> &Column {
-        &self.columns[i]
-    }
-
-    /// Full column by name.
-    pub fn column_by_name(&self, name: &str) -> Option<&Column> {
-        self.schema.index_of(name).map(|i| &self.columns[i])
+    /// The row groups: group `i` is scan morsel `i`.
+    pub fn groups(&self) -> &RowGroups {
+        &self.groups
     }
 
     /// Approximate in-memory footprint in bytes.
     pub fn size_bytes(&self) -> usize {
-        self.columns.iter().map(|c| c.size_bytes()).sum()
+        self.groups.size_bytes()
     }
 
     /// One scan batch: rows `[offset, offset+len)` of the columns at
-    /// positions `projection`. Zero-copy: each batch column is an O(1)
-    /// slice sharing the table's storage.
+    /// positions `projection`, clamped to the end of the row group
+    /// holding `offset`. Zero-copy: each batch column is an O(1) slice of
+    /// that group's storage.
     pub fn scan_batch(&self, projection: &[usize], offset: usize, len: usize) -> Batch {
-        let len = len.min(self.rows.saturating_sub(offset));
-        Batch::new(
-            projection
-                .iter()
-                .map(|&i| self.columns[i].slice(offset, len))
-                .collect(),
-        )
+        let within = offset % BATCH_CAPACITY;
+        match self.groups.groups().get(offset / BATCH_CAPACITY) {
+            Some(g) if within < g.rows() => g
+                .project(projection)
+                .slice(within, len.min(g.rows() - within)),
+            _ => Batch::new(
+                projection
+                    .iter()
+                    .map(|&i| ColumnBuilder::new(self.schema.field(i).dtype, 0).finish())
+                    .collect(),
+            ),
+        }
     }
 
-    /// Iterate the whole table as batches of at most [`BATCH_CAPACITY`] rows
-    /// over the given column positions (test/loader helper; the executor
-    /// drives its own scan cursor).
+    /// Iterate the whole table as one batch per row group over the given
+    /// column positions (test/loader helper; the executor drives its own
+    /// scan cursor).
     pub fn batches(&self, projection: &[usize]) -> Vec<Batch> {
-        let mut out = Vec::with_capacity(self.rows / BATCH_CAPACITY + 1);
-        let mut offset = 0;
-        while offset < self.rows {
-            let len = BATCH_CAPACITY.min(self.rows - offset);
-            out.push(self.scan_batch(projection, offset, len));
-            offset += len;
-        }
-        out
+        self.groups
+            .groups()
+            .iter()
+            .map(|g| g.project(projection))
+            .collect()
     }
 
     /// One row as owned values (checkpoint/serialization helper; scans go
     /// through the zero-copy [`Table::scan_batch`] path).
     pub fn row_values(&self, i: usize) -> Vec<Value> {
-        self.columns.iter().map(|c| c.get(i)).collect()
+        self.groups.row(i)
     }
 
     /// All rows as owned values, row-major (checkpoint helper).
     pub fn to_rows(&self) -> Vec<Vec<Value>> {
-        (0..self.rows).map(|i| self.row_values(i)).collect()
+        (0..self.rows()).map(|i| self.row_values(i)).collect()
     }
 }
 
@@ -237,18 +240,17 @@ impl TableBuilder {
 /// A mutable table: a sequence of immutable [`Table`] snapshots, one per
 /// epoch. Readers take an O(1) [`VersionedTable::snapshot`] (an `Arc`
 /// clone under a read lock held for nanoseconds) and are never blocked by
-/// or exposed to later writes; writers rebuild the column vector
+/// or exposed to later writes; writers build the successor's row groups
 /// **outside** any lock against the snapshot they started from, then
 /// commit with an epoch compare-and-swap — the write lock is held only
 /// for the pointer swap, so heavy writers cannot starve readers, and a
 /// writer that lost a race rebuilds against the winner's snapshot.
 ///
-/// Cost model: snapshots never copy anything (`Arc` clone); commits
-/// rebuild the touched columns, which with the current flat column
-/// layout is an O(resident rows) copy per append/delete — the trade
-/// taken for O(1) zero-copy scans of a contiguous column. A chunked
-/// column layout could make appends O(tail) later without changing this
-/// API.
+/// Cost model: snapshots never copy anything (`Arc` clone). A commit
+/// rebuilds only the row groups it touches and shares every other group
+/// with its predecessor (see [`crate::group`]): an append costs
+/// O(last group + appended rows), a delete O(rows from the first deleted
+/// row's group to the end), a replace shares the replacement's groups.
 pub struct VersionedTable {
     name: String,
     schema: Schema,
@@ -268,11 +270,11 @@ impl std::fmt::Debug for VersionedTable {
     }
 }
 
-/// What a writer's build step produced: a new column vector (plus its
-/// loggable delta) to commit as the next epoch, or nothing to change (no
-/// epoch is spent on no-ops).
+/// What a writer's build step produced: the successor's row groups (plus
+/// the loggable delta) to commit as the next epoch, or nothing to change
+/// (no epoch is spent on no-ops).
 enum NextVersion<R> {
-    Commit(R, Vec<Column>, TableDelta),
+    Commit(R, RowGroups, TableDelta),
     Noop(R),
 }
 
@@ -325,7 +327,7 @@ impl VersionedTable {
     /// outside any lock; the commit re-checks the epoch under the write
     /// lock (held only for the swap) and rebuilds on a lost race, so
     /// writers serialize logically without ever blocking readers behind
-    /// O(rows) work.
+    /// the build.
     ///
     /// If a [`CommitHook`] is installed it runs under the write lock,
     /// after the epoch check and before the swap: only the CAS winner
@@ -338,17 +340,12 @@ impl VersionedTable {
     ) -> Result<(R, Arc<Table>), StorageError> {
         loop {
             let old = self.snapshot();
-            let (out, columns, delta) = match next(&old)? {
-                NextVersion::Commit(out, columns, delta) => (out, columns, delta),
+            let (out, groups, delta) = match next(&old)? {
+                NextVersion::Commit(out, groups, delta) => (out, groups, delta),
                 // Nothing changed: no new epoch, no snapshot churn.
                 NextVersion::Noop(out) => return Ok((out, old)),
             };
-            let candidate = Arc::new(Table::new_at_epoch(
-                self.name.clone(),
-                self.schema.clone(),
-                columns,
-                old.epoch() + 1,
-            ));
+            let candidate = Arc::new(self.version(groups, old.epoch() + 1));
             let mut cur = self.current.write();
             if cur.epoch() == old.epoch() {
                 let hook = self.hook.read().clone();
@@ -367,32 +364,25 @@ impl VersionedTable {
         }
     }
 
+    fn version(&self, groups: RowGroups, epoch: u64) -> Table {
+        Table::from_groups(self.name.clone(), self.schema.clone(), groups, epoch)
+    }
+
     /// Append `rows` (validated against the schema) and commit a new
-    /// snapshot. Returns the new snapshot. The commit rebuilds each
-    /// column (O(resident rows), see the type-level cost model); existing
-    /// snapshots keep their own storage untouched. An empty `rows` is a
-    /// no-op: the current snapshot is returned and no epoch is committed.
+    /// snapshot. Returns the new snapshot. The commit rebuilds only the
+    /// last row group (O(last group + rows), see the type-level cost
+    /// model); existing snapshots keep their own groups untouched. An
+    /// empty `rows` is a no-op: the current snapshot is returned and no
+    /// epoch is committed.
     pub fn append(&self, rows: &[Vec<Value>]) -> Result<Arc<Table>, StorageError> {
-        for row in rows {
-            self.validate_row(row)?;
-        }
+        let tail = self.columns_of(rows)?;
         let ((), next) = self.commit(|old| {
             if rows.is_empty() {
                 return Ok(NextVersion::Noop(()));
             }
-            let columns = (0..self.schema.len())
-                .map(|i| {
-                    let mut b = ColumnBuilder::new(self.schema.field(i).dtype, rows.len());
-                    for row in rows {
-                        b.push(row[i].clone());
-                    }
-                    let tail = b.finish();
-                    Column::concat(&[old.column(i), &tail])
-                })
-                .collect();
             Ok(NextVersion::Commit(
                 (),
-                columns,
+                old.groups().append(&tail),
                 TableDelta::Append {
                     rows: rows.to_vec(),
                 },
@@ -401,96 +391,42 @@ impl VersionedTable {
         Ok(next)
     }
 
-    /// Delete the rows for which `mask_of` returns `true` and commit a new
-    /// snapshot. The mask is always evaluated against the snapshot
-    /// actually being replaced (re-evaluated if a concurrent writer commits
-    /// first), so interleaved deletes compose linearizably. Returns the
-    /// number of rows deleted and the new snapshot. A mask matching no
-    /// rows is a no-op: nothing is rebuilt and no epoch is committed.
-    pub fn delete_where(
-        &self,
-        mask_of: impl Fn(&Table) -> Vec<bool>,
-    ) -> Result<(usize, Arc<Table>), StorageError> {
-        self.commit(|old| {
-            let delete = mask_of(old);
-            if delete.len() != old.rows() {
-                return Err(StorageError(format!(
-                    "delete mask has {} entries for {} rows of '{}'",
-                    delete.len(),
-                    old.rows(),
-                    self.name
-                )));
-            }
-            let deleted = delete.iter().filter(|&&d| d).count();
-            if deleted == 0 {
-                return Ok(NextVersion::Noop(0));
-            }
-            let keep: Vec<bool> = delete.iter().map(|&d| !d).collect();
-            let columns = (0..self.schema.len())
-                .map(|i| old.column(i).filter(&keep))
-                .collect();
-            let indices = delete
-                .iter()
-                .enumerate()
-                .filter(|(_, &d)| d)
-                .map(|(i, _)| i as u64)
-                .collect();
-            Ok(NextVersion::Commit(
-                deleted,
-                columns,
-                TableDelta::Delete { deleted: indices },
-            ))
-        })
-    }
-
-    /// [`delete_where`](Self::delete_where), but additionally capturing the
-    /// deleted rows' full values (in predecessor order) inside the commit,
-    /// so callers can derive a typed delta without racing other writers.
-    /// The logged [`TableDelta::Delete`] is unchanged — positions only —
-    /// keeping the WAL format stable.
+    /// Delete the rows at the positions `positions_of` returns (strictly
+    /// ascending row indices into the snapshot it is given) and commit a
+    /// new snapshot. The positions are always computed against the
+    /// snapshot actually being replaced (recomputed if a concurrent
+    /// writer commits first), so interleaved deletes compose
+    /// linearizably. The deleted rows' full values are captured inside
+    /// the commit (in predecessor order), so callers can derive a typed
+    /// delta without racing other writers; the logged
+    /// [`TableDelta::Delete`] holds the positions only. Returns the
+    /// captured rows and the new snapshot. An empty position list is a
+    /// no-op: nothing is rebuilt and no epoch is committed.
     pub fn delete_where_capturing(
         &self,
-        mask_of: impl Fn(&Table) -> Vec<bool>,
+        positions_of: impl Fn(&Table) -> Vec<u64>,
     ) -> Result<(Vec<Vec<Value>>, Arc<Table>), StorageError> {
         self.commit(|old| {
-            let delete = mask_of(old);
-            if delete.len() != old.rows() {
-                return Err(StorageError(format!(
-                    "delete mask has {} entries for {} rows of '{}'",
-                    delete.len(),
-                    old.rows(),
-                    self.name
-                )));
-            }
-            if !delete.iter().any(|&d| d) {
+            let positions = positions_of(old);
+            self.check_positions(&positions, old.rows(), "delete")?;
+            if positions.is_empty() {
                 return Ok(NextVersion::Noop(Vec::new()));
             }
-            let captured: Vec<Vec<Value>> = delete
+            let captured = positions
                 .iter()
-                .enumerate()
-                .filter(|(_, &d)| d)
-                .map(|(i, _)| old.row_values(i))
-                .collect();
-            let keep: Vec<bool> = delete.iter().map(|&d| !d).collect();
-            let columns = (0..self.schema.len())
-                .map(|i| old.column(i).filter(&keep))
-                .collect();
-            let indices = delete
-                .iter()
-                .enumerate()
-                .filter(|(_, &d)| d)
-                .map(|(i, _)| i as u64)
+                .map(|&p| old.row_values(p as usize))
                 .collect();
             Ok(NextVersion::Commit(
                 captured,
-                columns,
-                TableDelta::Delete { deleted: indices },
+                old.groups().delete(&positions),
+                TableDelta::Delete { deleted: positions },
             ))
         })
     }
 
     /// Replace the contents wholesale with `table` (same schema required),
-    /// committing it as the next epoch. Returns the new snapshot.
+    /// committing it as the next epoch. The new snapshot shares
+    /// `table`'s row groups. Returns the new snapshot.
     pub fn replace(&self, table: &Table) -> Result<Arc<Table>, StorageError> {
         if table.schema() != &self.schema {
             return Err(StorageError(format!(
@@ -501,9 +437,7 @@ impl VersionedTable {
         let ((), next) = self.commit(|_| {
             Ok(NextVersion::Commit(
                 (),
-                (0..table.schema().len())
-                    .map(|i| table.column(i).clone())
-                    .collect(),
+                table.groups().clone(),
                 TableDelta::Replace {
                     rows: table.to_rows(),
                 },
@@ -518,24 +452,8 @@ impl VersionedTable {
     /// against concurrent writers — recovery runs single-threaded before
     /// the engine serves anything.
     pub fn restore(&self, rows: &[Vec<Value>], epoch: u64) -> Result<Arc<Table>, StorageError> {
-        for row in rows {
-            self.validate_row(row)?;
-        }
-        let columns = (0..self.schema.len())
-            .map(|i| {
-                let mut b = ColumnBuilder::new(self.schema.field(i).dtype, rows.len());
-                for row in rows {
-                    b.push(row[i].clone());
-                }
-                b.finish()
-            })
-            .collect();
-        let table = Arc::new(Table::new_at_epoch(
-            self.name.clone(),
-            self.schema.clone(),
-            columns,
-            epoch,
-        ));
+        let groups = RowGroups::from_columns(self.columns_of(rows)?);
+        let table = Arc::new(self.version(groups, epoch));
         *self.current.write() = table.clone();
         Ok(table)
     }
@@ -544,7 +462,8 @@ impl VersionedTable {
     /// hook (recovery: WAL replay). `epoch` must be exactly the successor
     /// of the current epoch; records at or below the current epoch are
     /// already reflected (covered by a checkpoint) and report `Ok(false)`.
-    /// A gap is an error — the log is missing records.
+    /// A gap is an error — the log is missing records. The successor is
+    /// built with the same row-group operations as the live commit.
     pub fn apply_logged(&self, delta: &TableDelta, epoch: u64) -> Result<bool, StorageError> {
         let old = self.snapshot();
         if epoch <= old.epoch() {
@@ -558,63 +477,56 @@ impl VersionedTable {
                 epoch
             )));
         }
-        let columns: Vec<Column> = match delta {
-            TableDelta::Append { rows } => {
-                for row in rows {
-                    self.validate_row(row)?;
-                }
-                (0..self.schema.len())
-                    .map(|i| {
-                        let mut b = ColumnBuilder::new(self.schema.field(i).dtype, rows.len());
-                        for row in rows {
-                            b.push(row[i].clone());
-                        }
-                        let tail = b.finish();
-                        Column::concat(&[old.column(i), &tail])
-                    })
-                    .collect()
-            }
+        let groups = match delta {
+            TableDelta::Append { rows } => old.groups().append(&self.columns_of(rows)?),
+            TableDelta::Replace { rows } => RowGroups::from_columns(self.columns_of(rows)?),
             TableDelta::Delete { deleted } => {
-                let mut keep = vec![true; old.rows()];
-                for &i in deleted {
-                    let i = i as usize;
-                    if i >= keep.len() {
-                        return Err(StorageError(format!(
-                            "replay delete index {} out of range for {} rows of '{}'",
-                            i,
-                            old.rows(),
-                            self.name
-                        )));
-                    }
-                    keep[i] = false;
-                }
-                (0..self.schema.len())
-                    .map(|i| old.column(i).filter(&keep))
-                    .collect()
-            }
-            TableDelta::Replace { rows } => {
-                for row in rows {
-                    self.validate_row(row)?;
-                }
-                (0..self.schema.len())
-                    .map(|i| {
-                        let mut b = ColumnBuilder::new(self.schema.field(i).dtype, rows.len());
-                        for row in rows {
-                            b.push(row[i].clone());
-                        }
-                        b.finish()
-                    })
-                    .collect()
+                self.check_positions(deleted, old.rows(), "replay delete")?;
+                old.groups().delete(deleted)
             }
         };
-        let table = Arc::new(Table::new_at_epoch(
-            self.name.clone(),
-            self.schema.clone(),
-            columns,
-            epoch,
-        ));
-        *self.current.write() = table;
+        *self.current.write() = Arc::new(self.version(groups, epoch));
         Ok(true)
+    }
+
+    /// Schema-order columns holding `rows`, each row validated against
+    /// the schema first.
+    fn columns_of(&self, rows: &[Vec<Value>]) -> Result<Vec<Column>, StorageError> {
+        for row in rows {
+            self.validate_row(row)?;
+        }
+        Ok((0..self.schema.len())
+            .map(|i| {
+                let mut b = ColumnBuilder::new(self.schema.field(i).dtype, rows.len());
+                for row in rows {
+                    b.push(row[i].clone());
+                }
+                b.finish()
+            })
+            .collect())
+    }
+
+    /// Delete positions must be strictly ascending row indices below
+    /// `rows`.
+    fn check_positions(
+        &self,
+        positions: &[u64],
+        rows: usize,
+        what: &str,
+    ) -> Result<(), StorageError> {
+        if let Some(w) = positions.windows(2).find(|w| w[0] >= w[1]) {
+            return Err(StorageError(format!(
+                "{what} positions for '{}' are not strictly ascending ({} then {})",
+                self.name, w[0], w[1]
+            )));
+        }
+        match positions.last() {
+            Some(&p) if p as usize >= rows => Err(StorageError(format!(
+                "{what} index {p} out of range for {rows} rows of '{}'",
+                self.name
+            ))),
+            _ => Ok(()),
+        }
     }
 
     fn validate_row(&self, row: &[Value]) -> Result<(), StorageError> {
@@ -649,6 +561,18 @@ mod tests {
     use super::*;
     use rdb_vector::DataType;
 
+    /// Column `i` of every row, in row order.
+    fn ints(t: &Table, i: usize) -> Vec<i64> {
+        t.to_rows().iter().map(|r| r[i].as_int().unwrap()).collect()
+    }
+
+    /// Positions of the rows whose `id` satisfies `pred`.
+    fn where_id(t: &Table, pred: impl Fn(i64) -> bool) -> Vec<u64> {
+        (0..t.rows() as u64)
+            .filter(|&i| pred(t.row_values(i as usize)[0].as_int().unwrap()))
+            .collect()
+    }
+
     fn table() -> Arc<Table> {
         let schema = Schema::from_pairs([("id", DataType::Int), ("name", DataType::Str)]);
         let mut b = TableBuilder::new("t", schema, 4);
@@ -663,8 +587,8 @@ mod tests {
         let t = table();
         assert_eq!(t.rows(), 4);
         assert_eq!(t.name(), "t");
-        assert_eq!(t.column_by_name("id").unwrap().as_ints(), &[0, 1, 2, 3]);
-        assert!(t.column_by_name("zz").is_none());
+        assert_eq!(ints(&t, 0), [0, 1, 2, 3]);
+        assert_eq!(t.groups().len(), 1);
     }
 
     #[test]
@@ -673,7 +597,7 @@ mod tests {
         let b = t.scan_batch(&[1], 1, 2);
         assert_eq!(b.rows(), 2);
         assert_eq!(b.row(0), vec![Value::str("r1")]);
-        // Over-long request clamps to table end.
+        // Over-long request clamps to the row group's (here the table's) end.
         let b = t.scan_batch(&[0], 3, 100);
         assert_eq!(b.rows(), 1);
     }
@@ -682,8 +606,8 @@ mod tests {
     fn scan_batches_share_table_storage() {
         let t = table();
         let b = t.scan_batch(&[0, 1], 1, 2);
-        assert!(b.column(0).shares_storage(t.column(0)));
-        assert!(b.column(1).shares_storage(t.column(1)));
+        assert!(b.column(0).shares_storage(t.groups().group(0).column(0)));
+        assert!(b.column(1).shares_storage(t.groups().group(0).column(1)));
     }
 
     #[test]
@@ -725,8 +649,8 @@ mod tests {
         assert_eq!(after.epoch(), 1);
         assert_eq!(vt.epoch(), 1);
         assert_eq!(after.rows(), 6);
-        assert_eq!(after.column(0).as_ints(), &[0, 1, 2, 3, 4, 5]);
-        assert_eq!(after.column(1).get(5), Value::Null);
+        assert_eq!(ints(&after, 0), [0, 1, 2, 3, 4, 5]);
+        assert_eq!(after.row_values(5)[1], Value::Null);
         // The pinned snapshot is untouched.
         assert_eq!(before.rows(), 4);
         assert_eq!(before.epoch(), 0);
@@ -750,14 +674,25 @@ mod tests {
     fn delete_where_filters_and_bumps_epoch() {
         let vt = versioned();
         let (deleted, after) = vt
-            .delete_where(|t| t.column(0).as_ints().iter().map(|&x| x % 2 == 0).collect())
+            .delete_where_capturing(|t| where_id(t, |x| x % 2 == 0))
             .unwrap();
-        assert_eq!(deleted, 2);
+        assert_eq!(
+            deleted,
+            vec![
+                vec![Value::Int(0), Value::str("r0")],
+                vec![Value::Int(2), Value::str("r2")],
+            ]
+        );
         assert_eq!(after.epoch(), 1);
-        assert_eq!(after.column(0).as_ints(), &[1, 3]);
-        // Mask length is checked against the locked snapshot.
-        assert!(vt.delete_where(|_| vec![true]).is_err());
+        assert_eq!(ints(&after, 0), [1, 3]);
+        // Positions are checked against the locked snapshot.
+        assert!(vt.delete_where_capturing(|_| vec![2]).is_err());
+        assert!(vt.delete_where_capturing(|_| vec![1, 0]).is_err());
         assert_eq!(vt.epoch(), 1, "failed delete commits nothing");
+        // No positions: no-op, no epoch.
+        let (none, same) = vt.delete_where_capturing(|_| Vec::new()).unwrap();
+        assert!(none.is_empty());
+        assert_eq!(same.epoch(), 1);
     }
 
     #[derive(Default)]
@@ -782,7 +717,7 @@ mod tests {
         let hook = Arc::new(RecordingHook::default());
         vt.set_commit_hook(hook.clone());
         vt.append(&[vec![Value::Int(4), Value::str("r4")]]).unwrap();
-        vt.delete_where(|t| t.column(0).as_ints().iter().map(|&x| x == 0).collect())
+        vt.delete_where_capturing(|t| where_id(t, |x| x == 0))
             .unwrap();
         // No-ops spend no epoch and reach no hook.
         vt.append(&[]).unwrap();
@@ -822,7 +757,7 @@ mod tests {
             ])
             .unwrap();
         source
-            .delete_where(|t| t.column(0).as_ints().iter().map(|&x| x % 2 == 1).collect())
+            .delete_where_capturing(|t| where_id(t, |x| x % 2 == 1))
             .unwrap();
 
         let replica = versioned();
@@ -831,12 +766,15 @@ mod tests {
         }
         let (a, b) = (source.snapshot(), replica.snapshot());
         assert_eq!(a.epoch(), b.epoch());
-        assert_eq!(a.column(0).as_ints(), b.column(0).as_ints());
+        assert_eq!(a.to_rows(), b.to_rows());
 
         // Already-applied records are skipped, gaps are errors.
         let first = hook.records.lock()[0].clone();
         assert!(!replica.apply_logged(&first.delta, first.epoch).unwrap());
         assert!(replica.apply_logged(&first.delta, 99).is_err());
+        // Malformed delete positions are errors, not panics.
+        let bad = TableDelta::Delete { deleted: vec![9] };
+        assert!(replica.apply_logged(&bad, b.epoch() + 1).is_err());
     }
 
     #[test]
@@ -847,7 +785,7 @@ mod tests {
         let snap = vt.snapshot();
         assert_eq!(snap.epoch(), 5);
         assert_eq!(snap.rows(), 1);
-        assert_eq!(snap.column(0).as_ints(), &[7]);
+        assert_eq!(ints(&snap, 0), [7]);
     }
 
     #[test]
@@ -856,6 +794,6 @@ mod tests {
         let a = vt.snapshot();
         let b = vt.snapshot();
         assert!(Arc::ptr_eq(&a, &b), "snapshot is a pointer clone");
-        assert!(a.column(0).shares_storage(b.column(0)));
+        assert!(Arc::ptr_eq(a.groups().group(0), b.groups().group(0)));
     }
 }

@@ -542,6 +542,14 @@ mod tests {
         );
     }
 
+    /// The whole column `name` of `t`, gathered from its row groups.
+    fn column(t: &rdb_storage::Table, name: &str) -> rdb_vector::Column {
+        let i = t.schema().index_of(name).unwrap();
+        let parts: Vec<&rdb_vector::Column> =
+            t.groups().groups().iter().map(|g| g.column(i)).collect();
+        rdb_vector::Column::concat(&parts)
+    }
+
     #[test]
     fn deterministic_given_seed() {
         let a = generate(&TpchConfig {
@@ -555,21 +563,18 @@ mod tests {
         let ta = a.get("lineitem").unwrap();
         let tb = b.get("lineitem").unwrap();
         assert_eq!(ta.rows(), tb.rows());
+        let qa = column(&ta, "l_quantity");
         assert_eq!(
-            ta.column_by_name("l_quantity").unwrap().as_floats()[..50],
-            tb.column_by_name("l_quantity").unwrap().as_floats()[..50]
+            qa.as_floats()[..50],
+            column(&tb, "l_quantity").as_floats()[..50]
         );
         let c = generate(&TpchConfig {
             scale: 0.001,
             seed: 10,
         });
         assert_ne!(
-            ta.column_by_name("l_quantity").unwrap().as_floats()[..50],
-            c.get("lineitem")
-                .unwrap()
-                .column_by_name("l_quantity")
-                .unwrap()
-                .as_floats()[..50]
+            qa.as_floats()[..50],
+            column(&c.get("lineitem").unwrap(), "l_quantity").as_floats()[..50]
         );
     }
 
@@ -580,17 +585,22 @@ mod tests {
             seed: 3,
         });
         let li = cat.get("lineitem").unwrap();
-        let q = li.column_by_name("l_quantity").unwrap().as_floats();
-        assert!(q.iter().all(|&x| (1.0..=50.0).contains(&x)));
-        let d = li.column_by_name("l_discount").unwrap().as_floats();
-        assert!(d.iter().all(|&x| (0.0..=0.1 + 1e-9).contains(&x)));
-        let part = cat.get("part").unwrap();
-        let sizes = part.column_by_name("p_size").unwrap().as_ints();
-        assert!(sizes.iter().all(|&s| (1..=50).contains(&s)));
+        let q = column(&li, "l_quantity");
+        assert!(q.as_floats().iter().all(|&x| (1.0..=50.0).contains(&x)));
+        let d = column(&li, "l_discount");
+        assert!(d
+            .as_floats()
+            .iter()
+            .all(|&x| (0.0..=0.1 + 1e-9).contains(&x)));
+        let sizes = column(&cat.get("part").unwrap(), "p_size");
+        assert!(sizes.as_ints().iter().all(|&s| (1..=50).contains(&s)));
         // Ship < receipt always.
-        let ship = li.column_by_name("l_shipdate").unwrap().as_dates();
-        let rec = li.column_by_name("l_receiptdate").unwrap().as_dates();
-        assert!(ship.iter().zip(rec).all(|(s, r)| s < r));
+        let (ship, rec) = (column(&li, "l_shipdate"), column(&li, "l_receiptdate"));
+        assert!(ship
+            .as_dates()
+            .iter()
+            .zip(rec.as_dates())
+            .all(|(s, r)| s < r));
     }
 
     #[test]
@@ -600,7 +610,8 @@ mod tests {
             seed: 3,
         });
         let orders = cat.get("orders").unwrap();
-        let comments = orders.column_by_name("o_comment").unwrap().as_strs();
+        let comments = column(&orders, "o_comment");
+        let comments = comments.as_strs();
         let hits = comments
             .iter()
             .filter(|c| rdb_expr::like::like_match(c, "%special%requests%"))

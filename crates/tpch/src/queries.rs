@@ -1180,11 +1180,12 @@ mod tests {
         assert_eq!(out.rows(), 1);
         // Recompute by hand over the raw table.
         let li = cat.get("lineitem").unwrap();
+        let col = |name: &str| li.schema().index_of(name).unwrap();
         let (ship, disc, qty, price) = (
-            li.column_by_name("l_shipdate").unwrap().as_dates(),
-            li.column_by_name("l_discount").unwrap().as_floats(),
-            li.column_by_name("l_quantity").unwrap().as_floats(),
-            li.column_by_name("l_extendedprice").unwrap().as_floats(),
+            col("l_shipdate"),
+            col("l_discount"),
+            col("l_quantity"),
+            col("l_extendedprice"),
         );
         // Extract the parameters back out of the plan's predicate — easier:
         // re-derive them from the same seeded rng.
@@ -1193,15 +1194,23 @@ mod tests {
         let dc = params::discount(&mut rng2);
         let qv = params::q6_quantity(&mut rng2) as f64;
         let d_end = add_months(d, 12);
-        let expected: f64 = (0..li.rows())
-            .filter(|&i| {
-                ship[i] >= d
-                    && ship[i] < d_end
-                    && disc[i] >= dc - 0.01001
-                    && disc[i] <= dc + 0.01001
-                    && qty[i] < qv
+        let expected: f64 = li
+            .groups()
+            .groups()
+            .iter()
+            .flat_map(|g| {
+                let (ship, disc) = (g.column(ship).as_dates(), g.column(disc).as_floats());
+                let (qty, price) = (g.column(qty).as_floats(), g.column(price).as_floats());
+                (0..g.rows())
+                    .filter(move |&i| {
+                        ship[i] >= d
+                            && ship[i] < d_end
+                            && disc[i] >= dc - 0.01001
+                            && disc[i] <= dc + 0.01001
+                            && qty[i] < qv
+                    })
+                    .map(move |i| price[i] * disc[i])
             })
-            .map(|i| price[i] * disc[i])
             .sum();
         match out.row(0)[0] {
             Value::Float(got) => assert!((got - expected).abs() < 1e-6),

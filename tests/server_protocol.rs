@@ -507,3 +507,65 @@ fn ssl_and_gssenc_requests_are_refused_then_startup_proceeds() {
     let mut client = PgClient::connect(addr).unwrap();
     assert!(client.query("SELECT k FROM t WHERE k < 1").is_ok());
 }
+
+#[test]
+fn extended_protocol_binds_numbered_params_by_number() {
+    // TPC-H Q6 written with $1..$5: the prepared template lists its
+    // parameters in normalized plan-walk order ($5 first), but Bind
+    // values must land on the placeholders by number.
+    let cat = recycler_db::tpch::generate(&recycler_db::tpch::TpchConfig {
+        scale: 0.002,
+        seed: 3,
+    });
+    let server = ServerBuilder::new(cat).serve().expect("bind server");
+    let mut client = PgClient::connect(server.local_addr()).unwrap();
+    // A misbound value panics a worker and no reply comes: fail, not hang.
+    client.set_read_timeout(Some(Duration::from_secs(20)));
+    let q6 = |args: [&str; 5]| {
+        args.iter()
+            .zip(["$date_lo", "$date_hi", "$disc_lo", "$disc_hi", "$qty"])
+            .fold(recycler_db::tpch::sql::Q6_SQL.to_string(), |sql, (v, p)| {
+                sql.replace(p, v)
+            })
+    };
+    let literal = client
+        .query(&q6([
+            "DATE '1994-01-01'",
+            "DATE '1995-01-01'",
+            "0.05",
+            "0.07",
+            "24",
+        ]))
+        .unwrap();
+    let bound = client
+        .extended(
+            &q6(["$1", "$2", "$3", "$4", "$5"]),
+            &[
+                Some("1994-01-01"),
+                Some("1995-01-01"),
+                Some("0.05"),
+                Some("0.07"),
+                Some("24"),
+            ],
+        )
+        .unwrap();
+    assert!(bound.errors().is_empty(), "{:?}", bound.errors());
+    assert!(literal.rows()[0][0].is_some(), "the window holds revenue");
+    assert_eq!(bound.rows(), literal.rows());
+    client.terminate();
+}
+
+#[test]
+fn dropped_server_frees_its_engine() {
+    let server = recycling_server(100);
+    let mut client = PgClient::connect(server.local_addr()).unwrap();
+    let cycle = client.query("SELECT metric FROM rdb_stats()").unwrap();
+    assert!(!cycle.rows().is_empty());
+    client.terminate();
+    let engine = Arc::downgrade(server.engine());
+    drop(server);
+    assert!(
+        engine.upgrade().is_none(),
+        "nothing may keep a dropped server's engine alive"
+    );
+}

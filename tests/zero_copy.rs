@@ -23,7 +23,7 @@ use recycler_db::exec::{
     build, run_to_batch, ExecContext, MaterializedResult, ResultStore, SpeculationEstimate,
     StoreVerdict,
 };
-use recycler_db::expr::{eval_predicate, eval_selection, Expr, Selection};
+use recycler_db::expr::{eval_selection, Expr, Selection};
 use recycler_db::plan::{scan, Plan, StoreMode};
 use recycler_db::recycler::RecyclerConfig;
 use recycler_db::storage::{Catalog, TableBuilder};
@@ -90,11 +90,16 @@ fn scan_batches_share_table_storage() {
         batches.push(b);
     }
     assert!(batches.len() > 1, "multiple scan batches expected");
-    for b in &batches {
+    assert_eq!(
+        batches.len(),
+        table.groups().len(),
+        "one batch per row group"
+    );
+    for (b, group) in batches.iter().zip(table.groups().groups()) {
         for (i, col) in b.columns().iter().enumerate() {
             assert!(
-                col.shares_storage(table.column(i)),
-                "scan batches must be zero-copy slices of the table"
+                col.shares_storage(group.column(i)),
+                "scan batches must be zero-copy slices of the table's row groups"
             );
         }
     }
@@ -136,9 +141,9 @@ fn store_tee_shares_storage_end_to_end() {
     let out = run_to_batch(tree.root.as_mut());
     assert_eq!(out.rows(), 800, "tuple flow uninterrupted");
     let published = store.fetch(7).expect("result published");
-    for (i, col) in published.batch.columns().iter().enumerate() {
+    for (i, col) in published.batch().columns().iter().enumerate() {
         assert!(
-            col.shares_storage(table.column(i)),
+            col.shares_storage(table.groups().group(0).column(i)),
             "store tee must not copy column {i}"
         );
         assert!(
@@ -148,7 +153,9 @@ fn store_tee_shares_storage_end_to_end() {
     }
     // Replay re-chunks zero-copy as well.
     for b in published.batches() {
-        assert!(b.column(0).shares_storage(table.column(0)));
+        assert!(b
+            .column(0)
+            .shares_storage(table.groups().group(0).column(0)));
     }
 }
 
@@ -166,7 +173,8 @@ fn filter_emits_selection_without_gathering() {
     assert_eq!(b.rows(), 300, "logical rows narrowed");
     assert!(b.sel().is_some(), "partial filter emits a selection vector");
     assert!(
-        b.column(0).shares_storage(table.column(0)),
+        b.column(0)
+            .shares_storage(table.groups().group(0).column(0)),
         "filter must not gather"
     );
     // Very sparse survivors are compacted on the spot instead (downstream
@@ -179,7 +187,9 @@ fn filter_emits_selection_without_gathering() {
     let b = tree.root.next_batch().expect("one batch");
     assert_eq!(b.rows(), 10);
     assert!(b.sel().is_none(), "sparse filter compacts");
-    assert!(!b.column(0).shares_storage(table.column(0)));
+    assert!(!b
+        .column(0)
+        .shares_storage(table.groups().group(0).column(0)));
     // An all-true filter passes batches through without even a selection.
     let plan = scan("t", &["k", "v"])
         .select(Expr::name("k").ge(Expr::lit(0)))
@@ -188,7 +198,9 @@ fn filter_emits_selection_without_gathering() {
     let mut tree = build(&plan, &ctx).unwrap();
     let b = tree.root.next_batch().expect("one batch");
     assert!(b.sel().is_none(), "all-true filter adds no selection");
-    assert!(b.column(0).shares_storage(table.column(0)));
+    assert!(b
+        .column(0)
+        .shares_storage(table.groups().group(0).column(0)));
 }
 
 #[test]
@@ -217,7 +229,10 @@ fn cache_replay_hands_out_shared_batches() {
         // The whole chain — scan slice → store tee → publish → replay —
         // never copied: replays still hand out the base table's storage.
         assert!(
-            second.batch.column(i).shares_storage(table.column(i)),
+            second
+                .batch
+                .column(i)
+                .shares_storage(table.groups().group(0).column(i)),
             "replay must be zero-copy all the way to the table (column {i})"
         );
     }
@@ -229,7 +244,7 @@ fn cache_replay_hands_out_shared_batches() {
 fn eval_selection_matches_predicate_mask() {
     // Random NULL-bearing data, random comparison predicates, with and
     // without a pre-existing selection: eval_selection must agree with the
-    // physical mask from eval_predicate restricted to selected rows.
+    // row-by-row physical mask restricted to selected rows.
     let mut r = rng(7);
     for case in 0..300 {
         let rows = r.gen_range(1..200);
@@ -244,7 +259,9 @@ fn eval_selection_matches_predicate_mask() {
         let batch = Batch::new(vec![b.finish()]);
         let cut = r.gen_range(-60..60);
         let pred = Expr::col(0).gt(Expr::lit(cut));
-        let mask = eval_predicate(&pred, &batch);
+        let mask: Vec<bool> = (0..rows)
+            .map(|i| matches!(batch.column(0).get(i), Value::Int(v) if v > cut))
+            .collect();
 
         // Optionally narrow the batch first.
         let (batch, selected): (Batch, Vec<u32>) = if r.gen_bool(0.5) {
